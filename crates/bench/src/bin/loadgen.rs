@@ -128,8 +128,8 @@ impl Mix {
     }
 
     /// The k-th request's job.  EPCC constructs rotate so the stream
-    /// exercises the whole construct matrix; the mixed stream folds in an
-    /// NPB kernel every 16th request.
+    /// exercises the whole construct matrix; NPB jobs alternate EP and
+    /// IS, and the mixed stream folds one in every 16th request.
     fn job(self, k: u64) -> JobSpec {
         const CONSTRUCTS: [Construct; 6] = [
             Construct::Barrier,
@@ -139,13 +139,8 @@ impl Mix {
             Construct::Single,
             Construct::ParallelFor,
         ];
-        let epcc = JobSpec::Epcc {
-            construct: CONSTRUCTS[(k % CONSTRUCTS.len() as u64) as usize],
-            threads: 2,
-            inner_reps: 8,
-        };
-        let npb = JobSpec::Npb {
-            kernel: if k.is_multiple_of(2) {
+        let npb = |n: u64| JobSpec::Npb {
+            kernel: if n.is_multiple_of(2) {
                 NpbKernel::Ep
             } else {
                 NpbKernel::Is
@@ -154,15 +149,15 @@ impl Mix {
             threads: 2,
         };
         match self {
-            Mix::Epcc | Mix::Priority { .. } => epcc,
-            Mix::Npb => npb,
-            Mix::Mixed => {
-                if k % 16 == 15 {
-                    npb
-                } else {
-                    epcc
-                }
-            }
+            Mix::Npb => npb(k),
+            // `k` is always odd here, so alternate on the NPB slot's
+            // own index instead.
+            Mix::Mixed if k % 16 == 15 => npb(k / 16),
+            _ => JobSpec::Epcc {
+                construct: CONSTRUCTS[(k % CONSTRUCTS.len() as u64) as usize],
+                threads: 2,
+                inner_reps: 8,
+            },
         }
     }
 }
@@ -899,5 +894,23 @@ fn main() {
                 std::process::exit(1);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn mixed_stream_runs_both_npb_kernels() {
+        let kernels: Vec<NpbKernel> = (0..64)
+            .filter_map(|k| match Mix::Mixed.job(k) {
+                JobSpec::Npb { kernel, .. } => Some(kernel),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(kernels.len(), 4, "one NPB job per 16 requests");
+        assert!(kernels.contains(&NpbKernel::Ep));
+        assert!(kernels.contains(&NpbKernel::Is));
     }
 }

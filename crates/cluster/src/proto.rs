@@ -297,24 +297,63 @@ mod tests {
         }
     }
 
+    /// One `ToWorker` message; `variant` picks the kind (mod 4).
+    fn arb_to_worker(rng: &mut SmallRng, variant: u64) -> ToWorker {
+        match variant % 4 {
+            0 => ToWorker::Dispatch {
+                job: rng.next_u64(),
+                spec: arb_spec(rng),
+            },
+            1 => ToWorker::Cancel {
+                job: rng.next_u64(),
+                deadline: rng.next_u64().is_multiple_of(2),
+            },
+            2 => ToWorker::Release {
+                slot: rng.next_u64() as u32,
+            },
+            _ => ToWorker::Exit,
+        }
+    }
+
+    /// One `ToRouter` message; `variant` picks the kind (mod 3).
+    fn arb_to_router(rng: &mut SmallRng, variant: u64) -> ToRouter {
+        match variant % 3 {
+            0 => ToRouter::Hello {
+                worker: rng.next_u64() as u32,
+                pid: rng.next_u64() as u32,
+                rmem_id: rng.next_u64() as u32,
+                slots: rng.next_u64() as u32,
+                slot_bytes: rng.next_u64() as u32,
+            },
+            1 => ToRouter::Heartbeat {
+                seq: rng.next_u64(),
+                inflight: rng.next_u64() as u32,
+                executed: rng.next_u64(),
+            },
+            _ => ToRouter::Done {
+                job: rng.next_u64(),
+                state: JobState::from_u8(2 + (rng.next_u64() % 2) as u8).unwrap(),
+                ok: rng.next_u64().is_multiple_of(2),
+                wall_us: rng.next_u64(),
+                slot: if rng.next_u64().is_multiple_of(2) {
+                    SLOT_INLINE
+                } else {
+                    rng.next_u64() as u32 % 64
+                },
+                len: rng.next_u64() as u32,
+                inline: (0..rng.gen_index(0, 40))
+                    .map(|_| rng.next_u64() as u8)
+                    .collect(),
+            },
+        }
+    }
+
     #[test]
     fn to_worker_roundtrip() {
         let mut rng = SmallRng::seed_from_u64(0xC1);
         for _ in 0..500 {
-            let msg = match rng.next_u64() % 4 {
-                0 => ToWorker::Dispatch {
-                    job: rng.next_u64(),
-                    spec: arb_spec(&mut rng),
-                },
-                1 => ToWorker::Cancel {
-                    job: rng.next_u64(),
-                    deadline: rng.next_u64().is_multiple_of(2),
-                },
-                2 => ToWorker::Release {
-                    slot: rng.next_u64() as u32,
-                },
-                _ => ToWorker::Exit,
-            };
+            let variant = rng.next_u64();
+            let msg = arb_to_worker(&mut rng, variant);
             assert_eq!(ToWorker::decode(&msg.encode()), Ok(msg.clone()), "{msg:?}");
         }
     }
@@ -323,36 +362,44 @@ mod tests {
     fn to_router_roundtrip() {
         let mut rng = SmallRng::seed_from_u64(0xC2);
         for _ in 0..500 {
-            let msg = match rng.next_u64() % 3 {
-                0 => ToRouter::Hello {
-                    worker: rng.next_u64() as u32,
-                    pid: rng.next_u64() as u32,
-                    rmem_id: rng.next_u64() as u32,
-                    slots: rng.next_u64() as u32,
-                    slot_bytes: rng.next_u64() as u32,
-                },
-                1 => ToRouter::Heartbeat {
-                    seq: rng.next_u64(),
-                    inflight: rng.next_u64() as u32,
-                    executed: rng.next_u64(),
-                },
-                _ => ToRouter::Done {
-                    job: rng.next_u64(),
-                    state: JobState::from_u8(2 + (rng.next_u64() % 2) as u8).unwrap(),
-                    ok: rng.next_u64().is_multiple_of(2),
-                    wall_us: rng.next_u64(),
-                    slot: if rng.next_u64().is_multiple_of(2) {
-                        SLOT_INLINE
-                    } else {
-                        rng.next_u64() as u32 % 64
-                    },
-                    len: rng.next_u64() as u32,
-                    inline: (0..rng.gen_index(0, 40))
-                        .map(|_| rng.next_u64() as u8)
-                        .collect(),
-                },
-            };
+            let variant = rng.next_u64();
+            let msg = arb_to_router(&mut rng, variant);
             assert_eq!(ToRouter::decode(&msg.encode()), Ok(msg.clone()), "{msg:?}");
+        }
+    }
+
+    /// Every proper prefix and every one-byte corruption of `enc`:
+    /// `decode` must answer a typed error or a message that itself
+    /// round-trips — never panic.
+    fn mangle_all<M: PartialEq + std::fmt::Debug>(
+        enc: &[u8],
+        rng: &mut SmallRng,
+        decode: impl Fn(&[u8]) -> Result<M, ProtoError>,
+        encode: impl Fn(&M) -> Vec<u8>,
+    ) {
+        let check = |bytes: &[u8]| {
+            if let Ok(msg) = decode(bytes) {
+                assert_eq!(decode(&encode(&msg)), Ok(msg), "from {bytes:?}");
+            }
+        };
+        for cut in 0..enc.len() {
+            check(&enc[..cut]);
+        }
+        for off in 0..enc.len() {
+            let mut bytes = enc.to_vec();
+            bytes[off] ^= 1 + (rng.next_u64() % 255) as u8;
+            check(&bytes);
+        }
+    }
+
+    #[test]
+    fn truncated_and_corrupted_messages_stay_typed() {
+        let mut rng = SmallRng::seed_from_u64(0xC4);
+        for round in 0..200u64 {
+            let msg = arb_to_worker(&mut rng, round);
+            mangle_all(&msg.encode(), &mut rng, ToWorker::decode, ToWorker::encode);
+            let msg = arb_to_router(&mut rng, round);
+            mangle_all(&msg.encode(), &mut rng, ToRouter::decode, ToRouter::encode);
         }
     }
 

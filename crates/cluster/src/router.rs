@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 use mca_mcapi::{McapiStatus, WireChan, WireListener};
 use mca_mrapi::{DomainId, MrapiSystem, Node, NodeId, RmemAttributes, RmemHandle};
 use mca_sync::{Condvar, Mutex};
-use romp::BackendKind;
+use romp::{BackendKind, CancelReason};
 use romp_serve::lifecycle::terminal_for;
 use romp_serve::{Dispatch, DispatchCtx, JobOutcome, JobState, QueuedJob};
 use romp_trace::{json_escape, Counter, Gauge};
@@ -65,7 +65,7 @@ pub struct ClusterConfig {
     /// Bytes per result slot.
     pub slot_bytes: u32,
     /// Directory for sockets and rmem backing files; `None` = a
-    /// per-process directory under the system temp dir.
+    /// per-router directory under the system temp dir.
     pub dir: Option<PathBuf>,
 }
 
@@ -193,8 +193,12 @@ impl Router {
     /// server calls [`Dispatch::run`]).  Creates the socket/rmem
     /// directory and the MRAPI attach node.
     pub fn new(cfg: ClusterConfig) -> std::io::Result<Arc<Router>> {
+        // One directory per router, not per process: the drain removes
+        // it, which must not pull sockets out from under a sibling.
+        static ROUTERS: AtomicU64 = AtomicU64::new(0);
         let dir = cfg.dir.clone().unwrap_or_else(|| {
-            std::env::temp_dir().join(format!("romp-cluster-{}", std::process::id()))
+            let seq = ROUTERS.fetch_add(1, Ordering::Relaxed);
+            std::env::temp_dir().join(format!("romp-cluster-{}-{seq}", std::process::id()))
         });
         std::fs::create_dir_all(&dir)?;
         let sys = MrapiSystem::new_t4240();
@@ -606,17 +610,7 @@ impl Router {
         }
         for mut inf in orphans {
             if let Some(reason) = inf.job.cancel.reason() {
-                let (state, outcome) = terminal_for(
-                    Some(reason),
-                    JobOutcome {
-                        ok: false,
-                        wall_us: 0,
-                        detail: "worker died during cancellation".into(),
-                    },
-                );
-                if let Some(ctx) = self.ctx.get() {
-                    ctx.complete(inf.job.id, &inf.job.spec.label(), state, outcome, 0);
-                }
+                self.settle(&inf.job, Some(reason), "worker died during cancellation");
             } else if inf.retries < self.cfg.max_retries && !stopping {
                 inf.retries += 1;
                 self.n_retries.fetch_add(1, Ordering::Relaxed);
@@ -624,21 +618,32 @@ impl Router {
                     m.retries.incr();
                 }
                 self.dispatch_job(inf.job, inf.retries);
-            } else if let Some(ctx) = self.ctx.get() {
-                ctx.complete(
-                    inf.job.id,
-                    &inf.job.spec.label(),
-                    JobState::Failed,
-                    JobOutcome {
-                        ok: false,
-                        wall_us: 0,
-                        detail: format!("worker {id} died; retries exhausted"),
-                    },
-                    0,
+            } else {
+                self.settle(
+                    &inf.job,
+                    None,
+                    format!("worker {id} died; retries exhausted"),
                 );
             }
         }
         self.cv.notify_all();
+    }
+
+    /// Complete a job that never produced an outcome of its own:
+    /// `Cancelled`/`TimedOut` when its token fired (`reason`), `Failed`
+    /// otherwise.
+    fn settle(&self, job: &QueuedJob, reason: Option<CancelReason>, detail: impl Into<String>) {
+        let (state, outcome) = terminal_for(
+            reason,
+            JobOutcome {
+                ok: false,
+                wall_us: 0,
+                detail: detail.into(),
+            },
+        );
+        if let Some(ctx) = self.ctx.get() {
+            ctx.complete(job.id, &job.spec.label(), state, outcome, 0);
+        }
     }
 
     /// Place one job on a worker (called from the dispatch loop and the
@@ -649,17 +654,7 @@ impl Router {
         loop {
             let j = job.as_ref().expect("job present until placed");
             if let Some(reason) = j.cancel.reason() {
-                let (state, outcome) = terminal_for(
-                    Some(reason),
-                    JobOutcome {
-                        ok: false,
-                        wall_us: 0,
-                        detail: "cancelled before dispatch".into(),
-                    },
-                );
-                if let Some(ctx) = self.ctx.get() {
-                    ctx.complete(j.id, &j.spec.label(), state, outcome, 0);
-                }
+                self.settle(j, Some(reason), "cancelled before dispatch");
                 return;
             }
             let target = {
@@ -693,19 +688,7 @@ impl Router {
                     }
                     None => {
                         if self.stop.load(Ordering::Acquire) {
-                            if let Some(ctx) = self.ctx.get() {
-                                ctx.complete(
-                                    j.id,
-                                    &j.spec.label(),
-                                    JobState::Failed,
-                                    JobOutcome {
-                                        ok: false,
-                                        wall_us: 0,
-                                        detail: "cluster shutting down".into(),
-                                    },
-                                    0,
-                                );
-                            }
+                            self.settle(j, None, "cluster shutting down");
                             return;
                         }
                         let _ = self.cv.wait_for(&mut inner, Duration::from_millis(50));
@@ -765,7 +748,7 @@ impl Router {
                         inf.job
                             .cancel
                             .reason()
-                            .map(|r| (*id, inf.worker, matches!(r, romp::CancelReason::Deadline)))
+                            .map(|r| (*id, inf.worker, matches!(r, CancelReason::Deadline)))
                     })
                     .collect();
                 for (jid, w, deadline) in pending {

@@ -17,14 +17,14 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{mpsc, Arc};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use mca_mcapi::WireChan;
 use mca_mrapi::{DomainId, MrapiSystem, NodeId, RmemAttributes};
 use mca_mtapi::{Mtapi, MtapiStatus, Task};
 use mca_sync::Mutex;
 use romp::{BackendKind, CancelToken, Config, Runtime};
-use romp_serve::job::execute;
+use romp_serve::job::run_supervised;
 use romp_serve::lifecycle::terminal_for;
 use romp_serve::protocol::{spec_from_bytes, spec_to_bytes};
 use romp_serve::{JobOutcome, JobState};
@@ -73,11 +73,10 @@ impl Default for WorkerConfig {
     }
 }
 
-/// One finished task queued for the completion thread.
+/// One started task queued for the completion thread.
 struct Finished {
     job: u64,
     task: Task,
-    started: Instant,
 }
 
 /// Worker process body.  Returns the process exit code: `0` after a
@@ -207,15 +206,22 @@ pub fn run_worker(cfg: WorkerConfig) -> i32 {
             .name("worker-completion".into())
             .spawn(move || {
                 while let Ok(fin) = done_rx.recv() {
-                    let wall_us = fin.started.elapsed().as_micros() as u64;
-                    let (state, ok, detail) = match fin.task.wait(None) {
+                    // The action measures its own run; a task that never
+                    // ran reports 0.
+                    let (state, ok, wall_us, detail) = match fin.task.wait(None) {
                         Ok(bytes) => decode_outcome(&bytes),
                         Err(e) if e.0 == MtapiStatus::ErrTaskCancelled => (
                             JobState::Cancelled,
                             false,
+                            0,
                             b"cancelled before start".to_vec(),
                         ),
-                        Err(e) => (JobState::Failed, false, format!("mtapi: {e}").into_bytes()),
+                        Err(e) => (
+                            JobState::Failed,
+                            false,
+                            0,
+                            format!("mtapi: {e}").into_bytes(),
+                        ),
                     };
                     tokens.lock().remove(&fin.job);
                     inflight.fetch_sub(1, Ordering::Relaxed);
@@ -274,11 +280,7 @@ pub fn run_worker(cfg: WorkerConfig) -> i32 {
                 input.extend_from_slice(&spec_to_bytes(&spec));
                 match job_handle.start(input) {
                     Ok(task) => {
-                        let _ = done_tx.send(Finished {
-                            job,
-                            task,
-                            started: Instant::now(),
-                        });
+                        let _ = done_tx.send(Finished { job, task });
                     }
                     Err(e) => {
                         tokens.lock().remove(&job);
@@ -381,25 +383,7 @@ fn run_spec_action(
         );
         return encode_outcome(state, &outcome);
     }
-    rt.set_cancel_token(Some(token.clone()));
-    let started = Instant::now();
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| execute(rt, &spec)));
-    rt.set_cancel_token(None);
-    let wall_us = started.elapsed().as_micros() as u64;
-    let (state, outcome) = match result {
-        Err(payload) => {
-            rt.quiesce();
-            (
-                JobState::Failed,
-                JobOutcome {
-                    ok: false,
-                    wall_us,
-                    detail: format!("panicked: {}", panic_message(payload.as_ref())),
-                },
-            )
-        }
-        Ok(out) => terminal_for(token.reason(), out),
-    };
+    let (state, outcome) = run_supervised(rt, &spec, &token, 0);
     encode_outcome(state, &outcome)
 }
 
@@ -413,25 +397,16 @@ fn encode_outcome(state: JobState, outcome: &JobOutcome) -> Vec<u8> {
     out
 }
 
-/// Inverse of [`encode_outcome`]; lossy on hostile bytes (a worker's own
-/// action produced them, so malformation means a worker bug).
-fn decode_outcome(bytes: &[u8]) -> (JobState, bool, Vec<u8>) {
-    if bytes.len() < 10 {
-        return (JobState::Failed, false, b"short outcome".to_vec());
-    }
+/// Inverse of [`encode_outcome`]: `(state, ok, wall_us, detail)`.
+/// Lossy on hostile bytes (a worker's own action produced them, so
+/// malformation means a worker bug).
+fn decode_outcome(bytes: &[u8]) -> (JobState, bool, u64, Vec<u8>) {
+    let Some(wall) = bytes.get(2..10) else {
+        return (JobState::Failed, false, 0, b"short outcome".to_vec());
+    };
     let state = JobState::from_u8(bytes[0]).unwrap_or(JobState::Failed);
-    (state, bytes[1] != 0, bytes[10..].to_vec())
-}
-
-/// Extract a human-readable message from a panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
+    let wall_us = u64::from_be_bytes(wall.try_into().expect("8-byte slice"));
+    (state, bytes[1] != 0, wall_us, bytes[10..].to_vec())
 }
 
 #[cfg(test)]
@@ -446,15 +421,16 @@ mod tests {
             detail: "verified: sum matches".into(),
         };
         let enc = encode_outcome(JobState::Done, &out);
-        let (state, ok, detail) = decode_outcome(&enc);
+        let (state, ok, wall_us, detail) = decode_outcome(&enc);
         assert_eq!(state, JobState::Done);
         assert!(ok);
+        assert_eq!(wall_us, out.wall_us);
         assert_eq!(detail, out.detail.as_bytes());
     }
 
     #[test]
     fn short_outcome_fails_closed() {
-        let (state, ok, _) = decode_outcome(&[1, 2, 3]);
+        let (state, ok, _, _) = decode_outcome(&[1, 2, 3]);
         assert_eq!(state, JobState::Failed);
         assert!(!ok);
     }

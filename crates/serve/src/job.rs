@@ -8,9 +8,11 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use romp::{Runtime, Schedule, Worker};
+use romp::{CancelToken, Runtime, Schedule, Worker};
 use romp_epcc::{delay, Construct};
 use romp_npb::{Class, NpbKernel};
+
+use crate::lifecycle::terminal_for;
 
 /// A supervision-diagnostic workload: misbehaves on purpose so the kill
 /// paths (deadline, cancel, panic isolation, watchdog escalation) can be
@@ -306,6 +308,58 @@ pub fn execute(rt: &Runtime, spec: &JobSpec) -> JobOutcome {
                 detail: format!("diag {diag:?} on {n} threads"),
             }
         }
+    }
+}
+
+/// Run one job under supervision, the way every dispatcher does: arm
+/// the runtime with the job's cancel token (every region the job forks
+/// checks it) and, when non-zero, its affinity key (those regions'
+/// tasks stay on the key's home shard); execute under `catch_unwind`;
+/// settle the terminal state.  A panicking kernel becomes `Failed`
+/// carrying the panic message, and a fired token outranks whatever
+/// `execute` returned — the job's regions unwound, so it is partial.
+pub fn run_supervised(
+    rt: &Runtime,
+    spec: &JobSpec,
+    cancel: &CancelToken,
+    affinity: u64,
+) -> (JobState, JobOutcome) {
+    rt.set_cancel_token(Some(cancel.clone()));
+    if affinity != 0 {
+        rt.set_affinity(Some(affinity));
+    }
+    let t0 = Instant::now();
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| execute(rt, spec)));
+    rt.set_affinity(None);
+    rt.set_cancel_token(None);
+    match result {
+        Ok(out) => terminal_for(cancel.reason(), out),
+        Err(payload) => {
+            let wall_us = t0.elapsed().as_micros() as u64;
+            // The pool has already contained the unwind (each member
+            // runs under its own net); quiesce so trailing region
+            // epilogues finish before the next job runs.
+            rt.quiesce();
+            (
+                JobState::Failed,
+                JobOutcome {
+                    ok: false,
+                    wall_us,
+                    detail: format!("panicked: {}", panic_message(payload.as_ref())),
+                },
+            )
+        }
+    }
+}
+
+/// Extract a human-readable message from a panic payload.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
     }
 }
 

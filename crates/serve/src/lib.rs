@@ -21,10 +21,14 @@
 //!   every socket edge-triggered, decodes frames incrementally across
 //!   partial reads, pipelines many in-flight requests per connection, and
 //!   admits each wakeup's submissions as one batch;
-//! * [`server`] — admission, idempotency, supervision (deadlines, cancel,
-//!   watchdog) and the single dispatcher; graceful drain on `shutdown`
-//!   completes every accepted job, quiesces the pool, and reports a
-//!   [`DrainReport`];
+//! * [`server`] — the listener and threads: reactors, the watchdog, and
+//!   the single dispatcher running a [`Dispatch`] implementation (the
+//!   in-process executor, or `romp-cluster`'s router); graceful drain on
+//!   `shutdown` completes every accepted job, quiesces the pool, and
+//!   reports a [`DrainReport`];
+//! * [`session`] — the [`ServeCore`] trait whose provided methods are
+//!   the serving policy (admission, idempotency, cancel, drain) and the
+//!   job-lifecycle bookkeeping, shared with the `romp-sim` simulator;
 //! * [`client`] — the blocking client used by `loadgen`, the chaos tests
 //!   and the CI smoke, including the split [`Client::send`] /
 //!   [`Client::recv`] halves pipelining load generators drive;
@@ -80,7 +84,7 @@ pub mod session;
 
 pub use client::{Client, ClientError, SubmitOptions, SubmitOutcome};
 pub use job::{DiagSpec, JobLimits, JobOutcome, JobSpec, JobState};
-pub use lifecycle::{DedupConfig, JobTable};
+pub use lifecycle::{DedupConfig, ExecEwma, JobTable};
 pub use metrics::Metrics;
 pub use protocol::{ErrorCode, ProtoError, Request, Response, MAX_FRAME};
 pub use queue::QueuedJob;

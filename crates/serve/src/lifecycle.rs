@@ -656,6 +656,61 @@ pub fn retry_after_hint(ewma_ns: u64, depth: usize, floor_ms: u32) -> u32 {
     ((depth as u64 + 1) * per_job_ms).clamp(floor, 10_000) as u32
 }
 
+/// Smoothed job execution times: one global EWMA (the retry-after
+/// basis) and one per job class (`JobSpec::label`, the shed gate's
+/// service-time model).  Both use alpha = 1/8 and are seeded by their
+/// first sample.
+#[derive(Default)]
+pub struct ExecEwma {
+    global_ns: AtomicU64,
+    class_ns: Mutex<HashMap<String, u64>>,
+}
+
+impl ExecEwma {
+    /// Fold one execution sample in.  A zero sample (a job that never
+    /// ran) still decays the global EWMA but leaves the class untouched.
+    pub fn note(&self, label: &str, ns: u64) {
+        let prev = self.global_ns.load(Ordering::Relaxed);
+        let next = if prev == 0 { ns } else { smooth(prev, ns) };
+        self.global_ns.store(next, Ordering::Relaxed);
+        if ns > 0 {
+            let mut map = self.class_ns.lock();
+            match map.get_mut(label) {
+                Some(prev) => *prev = smooth(*prev, ns),
+                None => {
+                    map.insert(label.to_string(), ns);
+                }
+            }
+        }
+    }
+
+    /// The global EWMA, ns (0 before the first sample).
+    pub fn global_ns(&self) -> u64 {
+        self.global_ns.load(Ordering::Relaxed)
+    }
+
+    /// One class's EWMA, ns; `None` until that class has a sample.
+    pub fn class_ns(&self, label: &str) -> Option<u64> {
+        self.class_ns.lock().get(label).copied()
+    }
+
+    /// Every class EWMA, sorted by label.
+    pub fn classes(&self) -> Vec<(String, u64)> {
+        let mut entries: Vec<(String, u64)> = self
+            .class_ns
+            .lock()
+            .iter()
+            .map(|(k, &v)| (k.clone(), v))
+            .collect();
+        entries.sort();
+        entries
+    }
+}
+
+fn smooth(prev: u64, ns: u64) -> u64 {
+    prev - prev / 8 + ns / 8
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -48,7 +48,7 @@ pub struct Metrics {
     pub req_stats: Arc<Counter>,
     /// `Ping` requests decoded.
     pub req_ping: Arc<Counter>,
-    /// Queue depth after the latest admission.
+    /// Queue depth after the latest admission or pop.
     pub queue_depth: Arc<Gauge>,
     /// High-water queue depth.
     pub queue_peak: Arc<Gauge>,
@@ -80,7 +80,8 @@ pub struct Metrics {
     pub reactor_batch: Arc<Histogram>,
     /// Connections currently registered.
     pub reactor_conns: Arc<Gauge>,
-    /// Per-lane queue depth after the latest admission (Hi/Normal/Batch).
+    /// Per-lane queue depth after the latest admission or pop
+    /// (Hi/Normal/Batch).
     pub sched_depth: [Arc<Gauge>; 3],
     /// Per-lane submissions admitted.
     pub sched_admits: [Arc<Counter>; 3],

@@ -12,21 +12,26 @@
 //!   The production [`Shared`](crate::server) state and the simulator's
 //!   core both implement the accessor methods; the request-routing
 //!   *policy* (admission, idempotency, fetch/await consumption, cancel,
-//!   drain) lives in this trait's provided methods so it literally
-//!   cannot diverge between production and simulation.
+//!   drain) and the job-lifecycle *bookkeeping* (pop and terminal
+//!   accounting, watchdog-sweep application, the `Stats` document)
+//!   live in this trait's provided methods, so neither can diverge
+//!   between production and simulation.
 //! * [`Session`] — one connection's transport-independent state: the
 //!   [`RecvBuf`]/[`SendBuf`] pair plus the close/EOF/deferral flags.
 //! * [`route_frames`] — decode-and-route every buffered frame on a
 //!   session (the reactor's old `decode_conn`, verbatim policy).
 
-use crate::job::{JobLimits, JobState};
-use crate::lifecycle::{retry_after_hint, CancelOutcome, Consumed, JobTable, StageRefusal};
+use crate::job::{JobLimits, JobOutcome, JobState};
+use crate::lifecycle::{
+    retry_after_hint, CancelOutcome, Consumed, ExecEwma, JobTable, StageRefusal,
+};
 use crate::metrics::Metrics;
 use crate::protocol::{ErrorCode, ProtoError, Request, Response};
-use crate::queue::{lane_of, JobQueue, QueuedJob};
+use crate::queue::{lane_name, lane_of, JobQueue, QueuedJob, LANES};
 use crate::reactor::{RecvBuf, SendBuf};
 use crate::JobSpec;
 use mca_platform::Clock;
+use romp_trace::{json_escape, MetricsRegistry};
 
 /// Per-connection write-buffer bound: past this, the connection is not
 /// read or decoded until the peer drains responses (backpressure).
@@ -50,7 +55,10 @@ pub enum AwaitDisposition {
 ///
 /// The provided methods are the serving *policy* — admission with
 /// idempotency, batch admission bookkeeping, fetch/await consumption,
-/// cancel semantics, drain — expressed once over the accessors.
+/// cancel semantics, drain — and the job-lifecycle *bookkeeping* — pop
+/// and terminal accounting, watchdog-sweep application, the `Stats`
+/// document — expressed once over the accessors, so production and the
+/// simulator cannot drift apart.
 pub trait ServeCore {
     /// The job lifecycle table.
     fn table(&self) -> &JobTable;
@@ -58,6 +66,10 @@ pub trait ServeCore {
     fn queue(&self) -> &JobQueue;
     /// The serving metric instruments.
     fn metrics(&self) -> &Metrics;
+    /// The registry the instruments live in (embedded in `Stats`).
+    fn registry(&self) -> &MetricsRegistry;
+    /// The execution-time EWMAs feeding backpressure and shedding.
+    fn ewma(&self) -> &ExecEwma;
     /// Per-job validation limits.
     fn limits(&self) -> &JobLimits;
     /// Deadline applied to jobs that do not request one (ms; 0 = none).
@@ -66,20 +78,14 @@ pub trait ServeCore {
     fn draining(&self) -> bool;
     /// Begin the drain: set the flag and close the queue.
     fn begin_drain(&self);
-    /// Smoothed per-job execution time (ns) — the retry-after basis.
-    fn ewma_ns(&self) -> u64;
-    /// Smoothed execution time for one job class (`JobSpec::label`),
-    /// `None` until that class completes its first job.  The shed gate
-    /// falls back to the global EWMA for never-seen classes.
-    fn class_ewma_ns(&self, label: &str) -> Option<u64>;
     /// The runtime's activity counter (watchdog progress detection).
     fn activity(&self) -> u64;
-    /// Jobs accepted but not yet finished (the `Draining` response).
-    fn outstanding(&self) -> u64;
-    /// The live stats JSON document.
-    fn stats_json(&self) -> String;
-    /// A job reached a terminal state outside the dispatcher (cancel of
-    /// a queued job): notify whoever parks `Await`s.
+    /// The execution backend's name, for `Stats`.
+    fn backend_label(&self) -> &str;
+    /// Whether the backend has fallen back (MCA→native), for `Stats`.
+    fn degraded(&self) -> bool;
+    /// A job reached a terminal state: notify whoever parks `Await`s.
+    /// Called only after the table holds the outcome.
     fn on_complete(&self, job: u64);
 
     /// Operator-triggered rolling restart of the worker pool.  Returns
@@ -87,6 +93,12 @@ pub trait ServeCore {
     /// pool behind this core (the single-process server and the
     /// simulator), which answers the client with a typed refusal.
     fn rolling_restart(&self) -> Option<u64> {
+        None
+    }
+
+    /// The worker pool's JSON object, spliced into `Stats` under
+    /// `"cluster"` when present.
+    fn cluster_json(&self) -> Option<String> {
         None
     }
 
@@ -107,6 +119,150 @@ pub trait ServeCore {
     /// synchronize every refused client into an immediate retry wave).
     fn retry_floor_ms(&self) -> u32 {
         10
+    }
+
+    /// Smoothed per-job execution time (ns) — the retry-after basis.
+    fn ewma_ns(&self) -> u64 {
+        self.ewma().global_ns()
+    }
+
+    /// Smoothed execution time for one job class (`JobSpec::label`),
+    /// `None` until that class completes its first job.  The shed gate
+    /// falls back to the global EWMA for never-seen classes.
+    fn class_ewma_ns(&self, label: &str) -> Option<u64> {
+        self.ewma().class_ns(label)
+    }
+
+    /// Refresh the per-lane depth gauges from the queue.
+    fn set_lane_depths(&self) {
+        let depths = self.queue().lane_depths();
+        for (lane, &d) in depths.iter().enumerate() {
+            self.metrics().sched_depth[lane].set(d as u64);
+        }
+    }
+
+    /// Pop accounting, once per job the dispatcher takes off the queue:
+    /// queue-wait latency and the depth gauges.
+    fn record_pop(&self, qjob: &QueuedJob) {
+        let m = self.metrics();
+        m.lat_queue
+            .record(self.clock().now_ns().saturating_sub(qjob.enqueued_ns));
+        m.queue_depth.set(self.queue().len() as u64);
+        self.set_lane_depths();
+    }
+
+    /// Terminal accounting, once per job the dispatcher ran: execution
+    /// latency, the EWMAs (`label` is the job's `JobSpec::label`), the
+    /// per-state counter, the table entry with its total and
+    /// cancel-latency stamps, and the completion notice.
+    fn record_terminal(
+        &self,
+        job: u64,
+        label: &str,
+        state: JobState,
+        outcome: JobOutcome,
+        exec_ns: u64,
+    ) {
+        let m = self.metrics();
+        m.lat_exec.record(exec_ns);
+        self.ewma().note(label, exec_ns);
+        match state {
+            JobState::Done => m.completed.incr(),
+            JobState::Cancelled => m.cancelled.incr(),
+            JobState::TimedOut => m.timed_out.incr(),
+            _ => m.failed.incr(),
+        }
+        if let Some(stamp) = self.table().finish(job, state, outcome) {
+            m.lat_total.record(stamp.total_ns);
+            if let Some(ns) = stamp.cancel_latency_ns {
+                m.wd_cancel_latency.record(ns);
+            }
+        }
+        self.on_complete(job);
+    }
+
+    /// One watchdog tick: run the table's sweep and apply its report —
+    /// deadline and miss counters, dedup gauges, completion notices for
+    /// queued-deadline kills.  Returns the stalled job to escalate, if
+    /// any; the escalation itself is the caller's (it differs between
+    /// the in-process runtime, the worker pool and the simulator).
+    fn watchdog_sweep(&self, grace_ns: u64) -> Option<u64> {
+        let m = self.metrics();
+        m.wd_ticks.incr();
+        let report = self.table().sweep(self.activity(), grace_ns);
+        let killed = report.deadline_killed.len() as u64;
+        // Every fired deadline is an accepted job the shed gate (when
+        // on) predicted would make it — each one is also a miss.
+        let fired = killed + report.deadline_fired_running;
+        m.wd_deadline_fired.add(fired);
+        m.sched_deadline_miss.add(fired);
+        m.timed_out.add(killed);
+        m.dedup_size.set(report.dedup_size);
+        m.dedup_evictions.add(report.dedup_evicted);
+        for &id in &report.deadline_killed {
+            self.on_complete(id);
+        }
+        report.escalate
+    }
+
+    /// Jobs accepted but not yet finished.
+    fn outstanding(&self) -> u64 {
+        let m = self.metrics();
+        let done = m.completed.get() + m.failed.get() + m.cancelled.get() + m.timed_out.get();
+        m.accepted.get().saturating_sub(done)
+    }
+
+    /// The live `Stats` JSON document.
+    fn stats_json(&self) -> String {
+        let m = self.metrics();
+        let cluster = self
+            .cluster_json()
+            .map(|j| format!("\"cluster\":{j},"))
+            .unwrap_or_default();
+        let depths = self.queue().lane_depths();
+        let lanes = (0..LANES)
+            .map(|l| {
+                format!(
+                    "\"{}\":{{\"depth\":{},\"admits\":{},\"sheds\":{}}}",
+                    lane_name(l),
+                    depths[l],
+                    m.sched_admits[l].get(),
+                    m.sched_sheds[l].get()
+                )
+            })
+            .collect::<Vec<_>>()
+            .join(",");
+        let classes = self
+            .ewma()
+            .classes()
+            .iter()
+            .map(|(k, v)| format!("\"{}\":{v}", json_escape(k)))
+            .collect::<Vec<_>>()
+            .join(",");
+        format!(
+            "{{\"backend\":\"{}\",\"degraded\":{},\"draining\":{},\
+             \"queue_depth\":{},\"queue_cap\":{},\"outstanding\":{},\
+             \"accepted\":{},\"rejected\":{},\"completed\":{},\"failed\":{},\
+             \"cancelled\":{},\"timed_out\":{},{cluster}\
+             \"sched\":{{\"lanes\":{{{lanes}}},\"deadline_miss\":{},\"shed\":{},\
+             \"class_ewma_ns\":{{{classes}}}}},\
+             \"metrics\":{}}}",
+            json_escape(self.backend_label()),
+            self.degraded(),
+            self.draining(),
+            self.queue().len(),
+            self.queue().cap(),
+            self.outstanding(),
+            m.accepted.get(),
+            m.rejected.get(),
+            m.completed.get(),
+            m.failed.get(),
+            m.cancelled.get(),
+            m.timed_out.get(),
+            m.sched_deadline_miss.get(),
+            self.shed_enabled(),
+            self.registry().snapshot().to_json(),
+        )
     }
 
     /// The backpressure hint for a refused client (see
@@ -218,10 +374,7 @@ pub trait ServeCore {
             for &lane in &lanes[..res.admitted] {
                 self.metrics().sched_admits[lane].incr();
             }
-            let depths = self.queue().lane_depths();
-            for (lane, &d) in depths.iter().enumerate() {
-                self.metrics().sched_depth[lane].set(d as u64);
-            }
+            self.set_lane_depths();
             self.table().confirm_admitted(&ids[..res.admitted]);
         }
         ids.iter()
@@ -254,17 +407,8 @@ pub trait ServeCore {
     /// observe `UnknownJob`.
     fn try_complete_await(&self, job: u64) -> AwaitDisposition {
         match self.table().consume(job) {
-            Consumed::Result(_, out) => AwaitDisposition::Ready(Response::JobResult {
-                job,
-                ok: out.ok,
-                wall_us: out.wall_us,
-                detail: out.detail,
-            }),
             Consumed::NotReady(_) => AwaitDisposition::Pending,
-            Consumed::Unknown => AwaitDisposition::Ready(Response::Error {
-                code: ErrorCode::UnknownJob,
-                msg: format!("job {job}"),
-            }),
+            consumed => AwaitDisposition::Ready(consumed_response(job, consumed)),
         }
     }
 
@@ -310,22 +454,7 @@ pub trait ServeCore {
             }
             Request::Fetch { job } => {
                 self.metrics().req_fetch.incr();
-                match self.table().consume(job) {
-                    Consumed::Result(_, out) => Response::JobResult {
-                        job,
-                        ok: out.ok,
-                        wall_us: out.wall_us,
-                        detail: out.detail,
-                    },
-                    Consumed::NotReady(_) => Response::Error {
-                        code: ErrorCode::NotReady,
-                        msg: format!("job {job} still pending"),
-                    },
-                    Consumed::Unknown => Response::Error {
-                        code: ErrorCode::UnknownJob,
-                        msg: format!("job {job}"),
-                    },
-                }
+                consumed_response(job, self.table().consume(job))
             }
             Request::Stats => {
                 self.metrics().req_stats.incr();
@@ -355,6 +484,27 @@ pub trait ServeCore {
                 msg: "internal: submit/await bypassed the reactor".into(),
             },
         }
+    }
+}
+
+/// The `Fetch` answer for a consume attempt (`Await` parks on
+/// `NotReady` instead of answering it).
+fn consumed_response(job: u64, consumed: Consumed) -> Response {
+    match consumed {
+        Consumed::Result(_, out) => Response::JobResult {
+            job,
+            ok: out.ok,
+            wall_us: out.wall_us,
+            detail: out.detail,
+        },
+        Consumed::NotReady(_) => Response::Error {
+            code: ErrorCode::NotReady,
+            msg: format!("job {job} still pending"),
+        },
+        Consumed::Unknown => Response::Error {
+            code: ErrorCode::UnknownJob,
+            msg: format!("job {job}"),
+        },
     }
 }
 

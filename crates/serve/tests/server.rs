@@ -335,3 +335,93 @@ fn concurrent_clients_never_see_misrouted_responses() {
     assert_eq!(report.completed, 96);
     assert_eq!(report.dropped, 0);
 }
+
+/// The keys of the JSON object that starts at `doc[0]`, in document
+/// order (nested objects skipped).
+fn object_keys(doc: &str) -> Vec<String> {
+    let mut keys = Vec::new();
+    let (mut depth, mut in_str, mut escaped) = (0usize, false, false);
+    let mut cur = String::new();
+    let mut expect_key = false;
+    for c in doc.chars() {
+        if in_str {
+            if escaped {
+                escaped = false;
+            } else if c == '\\' {
+                escaped = true;
+            } else if c == '"' {
+                in_str = false;
+                if expect_key {
+                    keys.push(std::mem::take(&mut cur));
+                    expect_key = false;
+                }
+                continue;
+            }
+            if expect_key {
+                cur.push(c);
+            }
+            continue;
+        }
+        match c {
+            '"' => {
+                in_str = true;
+                expect_key = depth == 1 && expect_key;
+            }
+            '{' | '[' => {
+                depth += 1;
+                expect_key = depth == 1;
+            }
+            '}' | ']' => {
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+            ',' if depth == 1 => expect_key = true,
+            _ => {}
+        }
+    }
+    keys
+}
+
+/// The in-process `Stats` document's top-level layout is a contract
+/// (dashboards and the benchmark harness parse it): same keys, same
+/// order, with the scheduler section inside `"sched"`.
+#[test]
+fn stats_document_keeps_its_key_order() {
+    let handle = start_native(ServeConfig::default());
+    let mut c = Client::connect(handle.addr()).unwrap();
+    let (id, _) = c
+        .submit_with_retry(&tiny_job(), Duration::from_secs(30))
+        .unwrap()
+        .expect("not draining");
+    assert!(c.wait_result(id, Duration::from_secs(60)).unwrap().ok);
+    let stats = c.stats().unwrap();
+    assert_eq!(
+        object_keys(&stats),
+        [
+            "backend",
+            "degraded",
+            "draining",
+            "queue_depth",
+            "queue_cap",
+            "outstanding",
+            "accepted",
+            "rejected",
+            "completed",
+            "failed",
+            "cancelled",
+            "timed_out",
+            "sched",
+            "metrics"
+        ]
+    );
+    let sched = &stats[stats.find("\"sched\":").unwrap() + "\"sched\":".len()..];
+    assert_eq!(
+        object_keys(sched),
+        ["lanes", "deadline_miss", "shed", "class_ewma_ns"]
+    );
+    assert!(stats.contains("\"class_ewma_ns\":{\"epcc.barrier\":"));
+    c.shutdown().unwrap();
+    assert_eq!(handle.join().dropped, 0);
+}

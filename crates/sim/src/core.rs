@@ -1,19 +1,21 @@
-//! The simulator's serving core: the production `ServeCore` policy over
-//! virtual-clock state.
+//! The simulator's serving core: the production `ServeCore` policy and
+//! bookkeeping over virtual-clock state.
 //!
 //! [`SimCore`] owns the *same* building blocks the production server
 //! does — a [`JobTable`] (on the virtual clock), the bounded
-//! [`JobQueue`], and the `serve.*` [`Metrics`] resolved from a private
-//! registry — and implements [`ServeCore`], so admission, idempotency,
-//! fetch/await consumption, cancel and drain run the production code
-//! paths verbatim.  Only the accessors differ: single-threaded `Cell`s
-//! replace atomics, and completions are collected for the event loop to
-//! deliver instead of broadcast over mailboxes.
+//! [`JobQueue`], the `serve.*` [`Metrics`] resolved from a private
+//! registry, and the [`ExecEwma`] — and implements [`ServeCore`], so
+//! admission, idempotency, fetch/await consumption, cancel, drain, pop
+//! and terminal accounting, watchdog-sweep application and the `Stats`
+//! document run the production code paths verbatim.  Only the accessors
+//! differ: single-threaded `Cell`s replace atomics, and completions are
+//! collected for the event loop to deliver instead of broadcast over
+//! mailboxes.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 
 use mca_platform::Clock;
+use romp_serve::lifecycle::ExecEwma;
 use romp_serve::session::ServeCore;
 use romp_serve::{DedupConfig, JobLimits, JobQueue, JobTable, Metrics};
 use romp_trace::MetricsRegistry;
@@ -40,8 +42,7 @@ pub struct SimCore {
     default_deadline_ms: u32,
     shed: bool,
     draining: Cell<bool>,
-    ewma_ns: Cell<u64>,
-    class_ewma: RefCell<HashMap<String, u64>>,
+    ewma: ExecEwma,
     activity: Cell<u64>,
     completions: RefCell<Vec<u64>>,
 }
@@ -63,39 +64,9 @@ impl SimCore {
             default_deadline_ms: cfg.default_deadline_ms,
             shed: cfg.shed,
             draining: Cell::new(false),
-            ewma_ns: Cell::new(0),
-            class_ewma: RefCell::new(HashMap::new()),
+            ewma: ExecEwma::default(),
             activity: Cell::new(0),
             completions: RefCell::new(Vec::new()),
-        }
-    }
-
-    /// The run's metrics registry (invariant checks read it back).
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
-    }
-
-    /// Record one job's execution time into the retry-hint EWMA
-    /// (α = 1/8, the production dispatcher's smoothing).
-    pub fn note_exec_time(&self, exec_ns: u64) {
-        let prev = self.ewma_ns.get();
-        let next = if prev == 0 {
-            exec_ns
-        } else {
-            prev - prev / 8 + exec_ns / 8
-        };
-        self.ewma_ns.set(next);
-    }
-
-    /// Record one job's execution time into its class's EWMA (the
-    /// per-class service-time estimate the shed gate consults).
-    pub fn note_class_exec_time(&self, label: &str, exec_ns: u64) {
-        let mut map = self.class_ewma.borrow_mut();
-        match map.get_mut(label) {
-            Some(prev) => *prev = *prev - *prev / 8 + exec_ns / 8,
-            None => {
-                map.insert(label.to_string(), exec_ns);
-            }
         }
     }
 
@@ -125,6 +96,14 @@ impl ServeCore for SimCore {
         &self.metrics
     }
 
+    fn registry(&self) -> &MetricsRegistry {
+        &self.registry
+    }
+
+    fn ewma(&self) -> &ExecEwma {
+        &self.ewma
+    }
+
     fn limits(&self) -> &JobLimits {
         &self.limits
     }
@@ -142,14 +121,6 @@ impl ServeCore for SimCore {
         self.queue.close();
     }
 
-    fn ewma_ns(&self) -> u64 {
-        self.ewma_ns.get()
-    }
-
-    fn class_ewma_ns(&self, label: &str) -> Option<u64> {
-        self.class_ewma.borrow().get(label).copied()
-    }
-
     fn shed_enabled(&self) -> bool {
         self.shed
     }
@@ -158,32 +129,12 @@ impl ServeCore for SimCore {
         self.activity.get()
     }
 
-    fn outstanding(&self) -> u64 {
-        let m = &self.metrics;
-        let done = m.completed.get() + m.failed.get() + m.cancelled.get() + m.timed_out.get();
-        m.accepted.get().saturating_sub(done)
+    fn backend_label(&self) -> &str {
+        "sim"
     }
 
-    fn stats_json(&self) -> String {
-        let m = &self.metrics;
-        format!(
-            "{{\"backend\":\"sim\",\"degraded\":false,\"draining\":{},\
-             \"queue_depth\":{},\"queue_cap\":{},\"outstanding\":{},\
-             \"accepted\":{},\"rejected\":{},\"completed\":{},\"failed\":{},\
-             \"cancelled\":{},\"timed_out\":{},\
-             \"metrics\":{}}}",
-            self.draining.get(),
-            self.queue.len(),
-            self.queue.cap(),
-            self.outstanding(),
-            m.accepted.get(),
-            m.rejected.get(),
-            m.completed.get(),
-            m.failed.get(),
-            m.cancelled.get(),
-            m.timed_out.get(),
-            self.registry.snapshot().to_json(),
-        )
+    fn degraded(&self) -> bool {
+        false
     }
 
     fn on_complete(&self, job: u64) {

@@ -15,13 +15,16 @@
 //! * **Real**: the wire protocol and frame codecs, `RecvBuf`/`SendBuf`
 //!   reassembly, [`romp_serve::session`]'s `route_frames` + `ServeCore`
 //!   policy (admission, idempotency, batch admission, await parking,
-//!   cancel, drain), the [`romp_serve::lifecycle::JobTable`] (deadlines,
+//!   cancel, drain) and job-lifecycle bookkeeping (pop and terminal
+//!   accounting, EWMAs, watchdog-sweep application, the `Stats`
+//!   document), the [`romp_serve::lifecycle::JobTable`] (deadlines,
 //!   sweep, dedup bounds), the [`romp_serve::queue::JobQueue`], and the
 //!   `serve.*` metrics — the exact code production runs.
 //! * **Modelled**: threads (event sources), sockets ([`net`]: seeded
 //!   delays, ordered delivery, partitions, write windows), kernel
 //!   execution (seeded durations/outcomes, with `mca-mrapi` fault-plan
-//!   probes deciding failures), and time itself
+//!   probes deciding failures), the watchdog escalation's side effect
+//!   (backend poisoning and the wedged job's unwind), and time itself
 //!   ([`mca_platform::VirtualClock`]).
 //!
 //! The [`scenario`] module defines four storm classes and the invariant

@@ -464,7 +464,7 @@ pub fn run_scenario(sc: Scenario, seed: u64, capture_trace: bool) -> SimReport {
         timed_out: m.timed_out.get(),
         idem_hits: m.idem_hits.get(),
         escalations: m.wd_escalations.get(),
-        deadline_fired: m.wd_deadline_fired.get(),
+        deadline_fired: core.registry().counter("watchdog.deadline_fired").get(),
         dedup_evictions: m.dedup_evictions.get(),
         idem_pending_hits: t.idem_pending_hits(),
         retractions: t.retractions(),

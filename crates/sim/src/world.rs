@@ -10,12 +10,17 @@
 //!   `SendBuf` backpressure and `decode_deferred` run their production
 //!   paths);
 //! * the **dispatcher** becomes `DispatcherPop`/`JobDone` events over
-//!   the real [`JobQueue`](romp_serve::JobQueue) and [`JobTable`](romp_serve::JobTable) — execution itself is
+//!   the real [`JobQueue`](romp_serve::JobQueue) and
+//!   [`JobTable`](romp_serve::JobTable), with production's pop and
+//!   terminal accounting ([`ServeCore::record_pop`],
+//!   [`ServeCore::record_terminal`]).  Only execution itself is
 //!   modelled (a seeded duration and outcome, with `mca-mrapi`
 //!   [`FaultPlan`] probes deciding failures), since the simulation
 //!   tests the *serving* machinery, not the kernels;
-//! * the **watchdog** becomes a `WatchdogTick` event running the real
-//!   [`JobTable::sweep`](romp_serve::JobTable::sweep) — deadline kills, escalation, dedup bounds;
+//! * the **watchdog** becomes a `WatchdogTick` event running
+//!   production's [`ServeCore::watchdog_sweep`] — deadline kills, dedup
+//!   bounds and their bookkeeping.  Only the escalation's side effect
+//!   is modelled: a poisoned-backend flag and the wedged job's unwind;
 //! * each **client** is a seeded state machine from [`crate::client`].
 //!
 //! Same seed ⇒ same event sequence ⇒ byte-identical trace: all state is
@@ -543,9 +548,7 @@ impl World {
                 return;
             };
             let now = self.now();
-            let m = self.core.metrics();
-            m.lat_queue.record(now.saturating_sub(qjob.enqueued_ns));
-            m.queue_depth.set(self.core.queue().len() as u64);
+            self.core.record_pop(&qjob);
             if !self.core.table().begin_run(qjob.id) {
                 // Cancelled or deadline-killed while queued.
                 continue;
@@ -616,12 +619,6 @@ impl World {
         let r = self.running.take().expect("checked above");
         let now = self.now();
         let exec_ns = now.saturating_sub(r.started_ns);
-        let m = self.core.metrics();
-        m.lat_exec.record(exec_ns);
-        self.core.note_exec_time(exec_ns);
-        if exec_ns > 0 {
-            self.core.note_class_exec_time(&r.label, exec_ns);
-        }
         let wall_us = exec_ns / 1_000;
         let (state, outcome) = if r.panics && r.cancel.reason().is_none() {
             (
@@ -646,19 +643,8 @@ impl World {
                 },
             )
         };
-        match state {
-            JobState::Done => m.completed.incr(),
-            JobState::Failed => m.failed.incr(),
-            JobState::Cancelled => m.cancelled.incr(),
-            JobState::TimedOut => m.timed_out.incr(),
-            _ => unreachable!("terminal_for returns terminal states"),
-        }
-        if let Some(stamp) = self.core.table().finish(r.job, state, outcome) {
-            m.lat_total.record(stamp.total_ns);
-            if let Some(cl) = stamp.cancel_latency_ns {
-                m.wd_cancel_latency.record(cl);
-            }
-        }
+        self.core
+            .record_terminal(r.job, &r.label, state, outcome, exec_ns);
         self.core.bump_activity();
         // Overload invariant: an accepted job reaches its terminal state
         // within the deadline-enforcement granularity — a watchdog tick
@@ -680,7 +666,9 @@ impl World {
             }
         }
         self.trace_line(&format!("t={now} done job={} state={state:?}", r.job));
-        self.deliver_completion(r.job);
+        for job in self.core.take_completions() {
+            self.deliver_completion(job);
+        }
         if !self.dispatcher_done {
             self.evq.push(now, Event::DispatcherPop);
         }
@@ -700,27 +688,21 @@ impl World {
         }
     }
 
-    /// The watchdog model: the production sweep over the real table,
-    /// then escalation of a stalled cancel (backend poisoning).
+    /// The watchdog: the production sweep and its bookkeeping, then the
+    /// modelled escalation of a stalled cancel (backend poisoning).
     fn watchdog_tick(&mut self) {
         let now = self.now();
-        let m = self.core.metrics();
-        m.wd_ticks.incr();
         let grace_ns = self.sc.escalation_grace_ms * 1_000_000;
-        let report = self.core.table().sweep(self.core.activity(), grace_ns);
-        let killed = report.deadline_killed.len() as u64;
-        m.wd_deadline_fired
-            .add(killed + report.deadline_fired_running);
-        m.timed_out.add(killed);
-        m.dedup_size.set(report.dedup_size);
-        m.dedup_evictions.add(report.dedup_evicted);
-        for job in &report.deadline_killed {
+        let stalled = self.core.watchdog_sweep(grace_ns);
+        // The sweep's only completions are its queued-deadline kills.
+        let killed = self.core.take_completions();
+        for job in &killed {
             self.trace_line(&format!("t={now} wd kill queued job={job}"));
         }
-        for job in report.deadline_killed.clone() {
+        for job in killed {
             self.deliver_completion(job);
         }
-        if let Some(stalled) = report.escalate {
+        if let Some(stalled) = stalled {
             if !self.backend_poisoned {
                 self.backend_poisoned = true;
                 self.core.metrics().wd_escalations.incr();

@@ -47,11 +47,11 @@ fn cold_start_has_no_class_estimate_and_admits_tight_deadlines() {
 fn single_sample_seeds_the_class_ewma_exactly() {
     let vclock = VirtualClock::new(0);
     let core = shed_core(vclock.clock());
-    core.note_class_exec_time("k", 40_000_000);
+    core.ewma().note("k", 40_000_000);
     assert_eq!(core.class_ewma_ns("k"), Some(40_000_000));
     // The second sample smooths with alpha = 1/8 (same as the global
     // EWMA): 40 - 40/8 + 8/8 = 36.
-    core.note_class_exec_time("k", 8_000_000);
+    core.ewma().note("k", 8_000_000);
     assert_eq!(core.class_ewma_ns("k"), Some(36_000_000));
     // Other classes stay untouched.
     assert_eq!(core.class_ewma_ns("other"), None);
@@ -62,7 +62,7 @@ fn unseen_class_falls_back_to_the_global_ewma() {
     let vclock = VirtualClock::new(0);
     let core = shed_core(vclock.clock());
     // Global estimate says jobs take 50ms; this class has never run.
-    core.note_exec_time(50_000_000);
+    core.ewma().note("other", 50_000_000);
     let spec = job();
     assert_eq!(core.class_ewma_ns(&spec.label()), None);
 
@@ -81,7 +81,7 @@ fn unseen_class_falls_back_to_the_global_ewma() {
 
     // Once the class has its own (fast) sample, the same deadline
     // admits: the specific estimate overrides the pessimistic global.
-    core.note_class_exec_time(&job().label(), 2_000_000);
+    core.ewma().note(&job().label(), 2_000_000);
     let staged = core.prepare_submit(job(), 10, 0, 0, 1);
     assert!(staged.is_ok(), "class-specific estimate wins over global");
 }
@@ -90,7 +90,7 @@ fn unseen_class_falls_back_to_the_global_ewma() {
 fn shed_unwinds_staging_so_the_job_leaves_no_table_entry() {
     let vclock = VirtualClock::new(0);
     let core = shed_core(vclock.clock());
-    core.note_exec_time(50_000_000);
+    core.ewma().note("other", 50_000_000);
     let before = core.table().retractions();
     let shed = core.prepare_submit(job(), 10, 0, 0, 0);
     assert!(matches!(shed, Err(Response::ShedDeadline { .. })));

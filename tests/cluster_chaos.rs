@@ -2,7 +2,8 @@
 //! and prove zero lost jobs (orphans retried on the survivor, worker
 //! respawned), then cycle the whole pool with an operator rolling
 //! restart while load is still running.  The process-level companion to
-//! `serve_chaos.rs` (DESIGN.md §5.12).
+//! `serve_chaos.rs` (DESIGN.md §5.12).  Also checks that a worker
+//! reports the job's own execution time back through the router.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -11,7 +12,7 @@ use std::time::{Duration, Instant};
 
 use romp::{Config, Runtime};
 use romp_cluster::{ClusterConfig, Router};
-use romp_serve::{Client, Dispatch, JobLimits, ServeConfig, Server};
+use romp_serve::{Client, DiagSpec, Dispatch, JobLimits, JobSpec, ServeConfig, Server};
 use romp_validation::serveload::drive_mixed_load;
 
 /// Locate the `romp-worker` binary for the active profile, building it
@@ -46,7 +47,7 @@ fn ensure_worker_bin() -> PathBuf {
     bin
 }
 
-fn start_cluster(workers: usize) -> (romp_serve::ServerHandle, Arc<Router>) {
+fn start_cluster(workers: usize, limits: JobLimits) -> (romp_serve::ServerHandle, Arc<Router>) {
     let router = Router::new(ClusterConfig {
         workers,
         worker_bin: Some(ensure_worker_bin()),
@@ -61,7 +62,7 @@ fn start_cluster(workers: usize) -> (romp_serve::ServerHandle, Arc<Router>) {
         "127.0.0.1:0",
         ServeConfig {
             queue_cap: 64,
-            limits: JobLimits::default(),
+            limits,
             ..ServeConfig::default()
         },
         rt,
@@ -81,7 +82,7 @@ fn wait_until(what: &str, timeout: Duration, mut ok: impl FnMut() -> bool) {
 
 #[test]
 fn sigkill_worker_mid_load_loses_nothing() {
-    let (handle, router) = start_cluster(2);
+    let (handle, router) = start_cluster(2, JobLimits::default());
     let addr = handle.addr();
     wait_until("both workers up", Duration::from_secs(30), || {
         router.workers_up() == 2
@@ -134,7 +135,7 @@ fn sigkill_worker_mid_load_loses_nothing() {
 
 #[test]
 fn rolling_restart_under_load_loses_nothing() {
-    let (handle, router) = start_cluster(2);
+    let (handle, router) = start_cluster(2, JobLimits::default());
     let addr = handle.addr();
     wait_until("both workers up", Duration::from_secs(30), || {
         router.workers_up() == 2
@@ -169,4 +170,40 @@ fn rolling_restart_under_load_loses_nothing() {
     let drain = handle.join();
     assert_eq!(drain.dropped, 0, "drain dropped jobs: {drain:?}");
     assert_eq!(drain.rmem_leaked, 0, "rmem slots leaked: {drain:?}");
+}
+
+/// `wall_us` is the job's run on the worker, not the worker's
+/// bookkeeping around it: a 50 ms spin reports at least 50 ms.
+#[test]
+fn worker_reports_the_jobs_own_exec_time() {
+    let (handle, router) = start_cluster(
+        1,
+        JobLimits {
+            allow_diag: true,
+            ..JobLimits::default()
+        },
+    );
+    wait_until("the worker up", Duration::from_secs(30), || {
+        router.workers_up() == 1
+    });
+    let mut c = Client::connect(handle.addr()).unwrap();
+    let spec = JobSpec::Diag {
+        diag: DiagSpec::Spin { ms: 50 },
+        threads: 2,
+    };
+    let (id, _) = c
+        .submit_with_retry(&spec, Duration::from_secs(30))
+        .unwrap()
+        .expect("not draining");
+    let out = c.wait_result(id, Duration::from_secs(60)).unwrap();
+    assert!(out.ok, "spin job failed: {}", out.detail);
+    assert!(
+        out.wall_us >= 50_000,
+        "worker reported {} us for a 50 ms job",
+        out.wall_us
+    );
+    c.shutdown().unwrap();
+    let report = handle.join();
+    assert_eq!(report.dropped, 0);
+    assert_eq!(report.rmem_leaked, 0);
 }
